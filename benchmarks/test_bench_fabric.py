@@ -4,8 +4,9 @@ Two claims, two benchmarks:
 
 1. **Straggler sweep** — a 256-point space whose first 16 points are
    ~40 ms stragglers (all hashing to shard 0, so fixed chunking *and*
-   shard ownership both hand them to one worker).  The PR 2 pool
-   (:class:`~repro.dse.batch.ParallelEvaluator`) serializes the slow
+   shard ownership both hand them to one worker).  A fixed-chunk
+   reference (:func:`_fixed_chunk_sweep`: ``ProcessPoolExecutor.map``
+   over ``ceil(n / (4 * workers))``-point chunks) serializes the slow
    block on a single worker; the work-stealing fabric
    (:class:`~repro.dse.fabric.FabricEvaluator`) spreads it across all
    four.  Both must return bit-identical costs and the fabric must be
@@ -27,11 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import time
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import numpy as np
 from conftest import run_once, update_bench_record
 
-from repro.dse.batch import ParallelEvaluator
+from repro.dse.batch import chunked
 from repro.dse.fabric import FabricEvaluator
 from repro.obs import get_registry
 from repro.sim.cache_store import SHARD_PREFIX_LEN, SimCacheStore
@@ -68,10 +71,24 @@ class StragglerSurrogate:
         return f"{shard:02x}" + digest[SHARD_PREFIX_LEN:]
 
 
-def _straggler_space() -> "list[dict]":
-    """Slow block first, exactly one PR 2 chunk wide.
+def _evaluate_chunk(evaluator, configs: "list[dict]") -> "list[float]":
+    return [float(evaluator.evaluate(c)) for c in configs]
 
-    With 256 points and 4 workers the pool's default chunking is
+
+def _fixed_chunk_sweep(pool: ProcessPoolExecutor, evaluator,
+                       configs: "list[dict]") -> np.ndarray:
+    """The fixed-chunking reference: ordered ``ceil(n / (4 * workers))``
+    -point chunks, one pool task each, no stealing."""
+    size = -(-len(configs) // (4 * WORKERS))
+    chunks = list(chunked(configs, size))
+    parts = pool.map(_evaluate_chunk, repeat(evaluator), chunks)
+    return np.array([cost for part in parts for cost in part])
+
+
+def _straggler_space() -> "list[dict]":
+    """Slow block first, exactly one fixed chunk wide.
+
+    With 256 points and 4 workers the reference chunking is
     ``ceil(256 / 16) = 16`` — the slow block fills chunk 0 end to end,
     so one worker eats every straggler while the rest go idle.
     """
@@ -87,11 +104,11 @@ def test_fabric_sweep_speedup(benchmark, results_dir):
                          for c in configs])
     warmup = [{"idx": 10_000 + i, "slow": False} for i in range(2 * WORKERS)]
 
-    with ParallelEvaluator(surrogate, workers=WORKERS) as pool, \
+    with ProcessPoolExecutor(max_workers=WORKERS) as pool, \
             FabricEvaluator(surrogate, workers=WORKERS,
                             unit_size=2) as fabric:
         # Spawn both pools before any timing window opens.
-        pool.evaluate_batch(warmup)
+        _fixed_chunk_sweep(pool, surrogate, warmup)
         fabric.evaluate_batch(warmup)
 
         # Best-of-N per leg, same rationale as the sim-hotpath bench: a
@@ -100,7 +117,7 @@ def test_fabric_sweep_speedup(benchmark, results_dir):
         pool_s = fabric_s = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            pool_costs = pool.evaluate_batch(configs)
+            pool_costs = _fixed_chunk_sweep(pool, surrogate, configs)
             pool_s = min(pool_s, time.perf_counter() - t0)
 
             t0 = time.perf_counter()

@@ -3,9 +3,9 @@
 Two end-to-end checks over the real DSE stack (``docs/ROBUSTNESS.md``):
 
 1. **Fault-injected sweep** — a parallel sweep through
-   :class:`~repro.dse.batch.ParallelEvaluator` with a seeded
+   :class:`~repro.dse.fabric.FabricEvaluator` with a seeded
    :class:`~repro.resilience.FaultPlan` (a worker crash, a transient
-   failure and a 30 s stall against a 2 s chunk deadline) must produce
+   failure and a 30 s stall against a 2 s per-unit deadline) must produce
    costs bit-identical to a fault-free serial sweep, with exactly-once
    budget charging on the wrapping
    :class:`~repro.dse.evaluate.BudgetedEvaluator`.
@@ -31,13 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.params import ApplicationProfile, MachineParameters
-from repro.dse.batch import ParallelEvaluator
 from repro.dse.evaluate import (
     BudgetedEvaluator,
     SurrogateEvaluator,
     batch_evaluate,
 )
 from repro.dse.brute import brute_force_search
+from repro.dse.fabric import FabricEvaluator
 from repro.dse.space import DesignSpace, Parameter
 from repro.laws.gfunction import PowerLawG
 from repro.obs import get_registry
@@ -92,8 +92,8 @@ def check_faulted_sweep(state_dir: Path) -> None:
         Fault(kind="delay", token=config_token(configs[37]),
               delay_s=30.0),
     ))
-    parallel = ParallelEvaluator(
-        FaultyEvaluator(surrogate, plan), workers=2, chunk_size=8,
+    parallel = FabricEvaluator(
+        FaultyEvaluator(surrogate, plan), workers=2, unit_size=8,
         chunk_timeout=2.0,
         retry_policy=RetryPolicy(base_delay=0.01, jitter=0.0),
         sleep=lambda s: None)

@@ -1,10 +1,10 @@
 """CI check: the sweep fabric never changes a swept cost, anywhere.
 
 Runs one fixed design sweep through every scheduling regime the fabric
-supports — serial loop, fixed-chunk pool, fabric with stealing on,
-stealing forced (``unit_size=1``), stealing disabled, a mid-sweep
-worker crash, and a ledgered kill-one-worker-then-resume round trip —
-and asserts every cost array is bit-identical (``np.array_equal`` on
+supports — serial loop, fabric with stealing, stealing forced
+(``unit_size=1``), a mid-sweep worker crash, and a journaled
+kill-then-resume round trip — and asserts every cost array is
+bit-identical (``np.array_equal`` on
 raw float64, no tolerance) with identical ``dse.evaluations``
 accounting.  The steal schedule, crash recovery and resume replay must
 all be invisible in the results (``docs/DSE_PERFORMANCE.md``).
@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.params import ApplicationProfile, MachineParameters
-from repro.dse.batch import ParallelEvaluator
 from repro.dse.evaluate import (
     BudgetedEvaluator,
     SurrogateEvaluator,
@@ -42,8 +41,8 @@ from repro.resilience import (
     FaultPlan,
     FaultyEvaluator,
     RetryPolicy,
-    ShardedJournal,
     config_token,
+    load_journal,
 )
 
 NO_JITTER = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
@@ -102,14 +101,10 @@ def check_legs(state_dir: Path, workers: int) -> "tuple[np.ndarray, int, bool]":
 
     legs = {
         "serial": lambda: FabricEvaluator(surrogate, workers=1),
-        "pool (fixed chunks)": lambda: ParallelEvaluator(
-            surrogate, workers=workers),
-        "fabric steal=on": lambda: FabricEvaluator(
+        "fabric stealing": lambda: FabricEvaluator(
             surrogate, workers=workers),
         "fabric steal forced": lambda: FabricEvaluator(
             surrogate, workers=workers, unit_size=1),
-        "fabric steal=off": lambda: FabricEvaluator(
-            surrogate, workers=workers, steal=False),
         "fabric worker crash": lambda: FabricEvaluator(
             crashy, workers=workers, unit_size=8,
             retry_policy=NO_JITTER, sleep=lambda s: None),
@@ -128,8 +123,6 @@ def check_legs(state_dir: Path, workers: int) -> "tuple[np.ndarray, int, bool]":
             steals = counters.get("dse.fabric.steals", 0)
             detail = f" (steals={steals})"
             ok = ok and steals > 0
-        elif label == "fabric steal=off":
-            ok = ok and not counters.get("dse.fabric.steals")
         elif "crash" in label:
             detail = (f" (crashes="
                       f"{counters.get('resilience.worker_crashes', 0)})")
@@ -148,48 +141,44 @@ def check_legs(state_dir: Path, workers: int) -> "tuple[np.ndarray, int, bool]":
 
 def check_kill_and_resume(state_dir: Path, workers: int,
                           reference: np.ndarray, evals_ref: int) -> bool:
-    """Ledgered fabric sweep killed halfway, then resumed exactly-once."""
+    """Journaled fabric sweep killed halfway, then resumed exactly-once."""
     configs = _configs()
     surrogate = _surrogate()
     registry = MetricsRegistry()
     previous = set_registry(registry)
     try:
-        led_dir = state_dir / "ledger"
+        journal = state_dir / "brute.jsonl"
+        journal.unlink(missing_ok=True)
         half = configs[:len(configs) // 2]
         with FabricEvaluator(surrogate, workers=workers) as fabric:
-            budget = BudgetedEvaluator(
-                fabric, checkpoint=ShardedJournal.create(led_dir,
-                                                         method="brute"))
+            budget = BudgetedEvaluator(fabric, method="brute",
+                                       checkpoint=journal)
             budget.evaluate_batch(half)
-            budget.close()  # the "corpse" leaves shard journals behind
+            budget.close()  # the "corpse" leaves its journal behind
 
         registry.reset()
-        ledger, restored = ShardedJournal.open_resume(led_dir,
-                                                      method="brute")
+        restored = load_journal(journal)[1]
         if not restored:
             print("  kill-and-resume: DIVERGED (interrupted half "
                   "journaled nothing)")
             return True
         with FabricEvaluator(surrogate, workers=workers,
                              unit_size=1) as fabric:
-            budget = BudgetedEvaluator(fabric, checkpoint=ledger)
-            budget.restore(restored)
+            budget = BudgetedEvaluator(fabric, method="brute",
+                                       checkpoint=journal, resume=True)
             costs = budget.evaluate_batch(configs)
             evals = budget.evaluations
             budget.close()
         counters = registry.snapshot()["counters"]
 
-        _ledger, final = ShardedJournal.open_resume(led_dir,
-                                                    method="brute")
-        _ledger.close()
-        keys = [k for k, _ in final]
+        keys = [k for k, _ in load_journal(journal)[1]]
         distinct = len({canonical_key(c) for c in configs})
         ok = (np.array_equal(costs, reference)
               and evals == evals_ref
               and counters["dse.evaluations"] == evals_ref
               and len(keys) == len(set(keys)) == distinct)
         print(f"  kill-and-resume: {'OK' if ok else 'DIVERGED'} "
-              f"(restored={len(restored)}, ledgered={len(keys)})")
+              f"(restored={len(restored)}, journaled={len(keys)})")
         if not ok and evals != evals_ref:
             print(f"    resumed run charged {evals} evaluations, "
                   f"uninterrupted charged {evals_ref}")
@@ -204,7 +193,7 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="fabric slots for the parallel legs "
                              "(default 4)")
     parser.add_argument("state_dir", nargs="?", default=None,
-                        help="scratch directory for the ledger round "
+                        help="scratch directory for the journal round "
                              "trip (default: a fresh temp dir)")
     args = parser.parse_args(argv)
     state_dir = (Path(args.state_dir) if args.state_dir

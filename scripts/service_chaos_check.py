@@ -1,7 +1,7 @@
 """CI service chaos gate: the job server must lose nothing to SIGKILL
 and shed load explicitly under saturation (``docs/SERVICE.md``).
 
-Two end-to-end checks against a **real** server subprocess:
+Three end-to-end checks against a **real** server subprocess:
 
 1. **SIGKILL + restart** — submit four multi-tenant jobs, wait until
    at least three are simultaneously in flight, SIGKILL the server,
@@ -15,6 +15,10 @@ Two end-to-end checks against a **real** server subprocess:
    machine-readable reason and a ``Retry-After`` header, every
    accepted job completes, and the server survives to shut down
    gracefully on SIGTERM.
+3. **Pooled jobs** — a ``--job-workers 2`` server runs ten 36-point
+   surrogate sweeps on per-job process pools; every result must be
+   byte-identical (canonical JSON) to the inline ``--job-workers 1``
+   path.
 
 Exits non-zero with a diagnostic on any violation.  Usage::
 
@@ -57,6 +61,14 @@ TINY_SPACE = {"params": [
     {"name": "a1", "values": [1]},
     {"name": "a2", "values": [1]},
     {"name": "n", "values": [4, 8]},
+]}
+
+#: 36 points: the pooled-job leg's sweep.
+POOL_SPACE = {"params": [
+    {"name": "a0", "values": [2, 4, 8]},
+    {"name": "a1", "values": [1, 2]},
+    {"name": "a2", "values": [1, 2]},
+    {"name": "n", "values": [4, 8, 16]},
 ]}
 
 SHED_REASONS = {"queue_full", "memory_watermark", "tenant_quota",
@@ -294,12 +306,53 @@ def check_burst(base: Path) -> None:
           "graceful SIGTERM shutdown")
 
 
+def wait_done(port: int, job_id: str, timeout: float = 300) -> dict:
+    """Poll one job to a terminal state; fail unless it is ``done``."""
+    wait_until = time.monotonic() + timeout
+    while True:
+        _, _, doc = http(port, "GET", f"/v1/jobs/{job_id}")
+        if doc["status"] not in ("queued", "running"):
+            break
+        if time.monotonic() > wait_until:
+            _fail(f"job {job_id} never finished")
+        time.sleep(0.05)
+    if doc["status"] != "done":
+        _fail(f"job {job_id} ended {doc['status']!r}: {doc.get('error')}")
+    return doc
+
+
+def check_pooled_jobs(base: Path, runs: int = 10) -> None:
+    spec = {"kind": "sweep", "space": POOL_SPACE, "batch_size": 8}
+    want = canonical_json(run_job(spec, workers=1))
+    proc, port = start_server(base / "pooled", "--job-workers", "2")
+    try:
+        ids = []
+        for index in range(runs):
+            status, _, doc = http(port, "POST", "/v1/jobs", {
+                "schema": "c2bound.job/1", "tenant": f"pool-{index}",
+                "priority": 5, "job": spec})
+            if status != 202:
+                _fail(f"pooled submission {index} rejected: {status} {doc}")
+            ids.append(doc["job_id"])
+        for index, job_id in enumerate(ids):
+            got = canonical_json(wait_done(port, job_id)["result"])
+            if got != want:
+                _fail(f"pooled job {index} differs from the inline run:\n"
+                      f"  {got}\n  {want}")
+    finally:
+        proc.terminate()
+        proc.wait(timeout=30)
+    print(f"pooled jobs OK: {runs}/{runs} --job-workers 2 results "
+          "byte-identical to --job-workers 1")
+
+
 def main(argv: "list[str]") -> int:
     base = (Path(argv[1]) if len(argv) > 1
             else Path(tempfile.mkdtemp(prefix="service-chaos-")))
     base.mkdir(parents=True, exist_ok=True)
     check_kill_and_resume(base)
     check_burst(base)
+    check_pooled_jobs(base)
     print("service chaos OK")
     return 0
 

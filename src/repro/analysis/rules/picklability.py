@@ -1,6 +1,6 @@
 """C2L004 — callables crossing the process pool must be picklable.
 
-:class:`repro.dse.batch.ParallelEvaluator` ships its work to
+:class:`repro.dse.fabric.FabricEvaluator` ships its work to
 ``concurrent.futures`` pool workers, which pickle the submitted callable
 by *qualified name*.  A lambda or a function defined inside another
 function pickles fine on no platform at all — the failure is a runtime

@@ -178,26 +178,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "wall time, metrics) to FILE")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress stdout (files are still written)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="process-pool workers for parallel DSE "
-                             "evaluation (default 1 = inline)")
     parser.add_argument("--batch-size", type=int, default=None, metavar="B",
                         help="design points per batched evaluator call "
                              "(default 2048)")
-    parser.add_argument("--fabric", action="store_true",
-                        help="schedule pooled DSE evaluation through the "
-                             "sharded work-stealing sweep fabric (and use "
-                             "the per-shard checkpoint ledger with "
-                             "--checkpoint); results are bit-identical "
-                             "either way")
-    steal = parser.add_mutually_exclusive_group()
-    steal.add_argument("--steal", dest="steal", action="store_true",
-                       default=True,
-                       help="allow idle fabric workers to steal backlog "
-                            "from stragglers (default)")
-    steal.add_argument("--no-steal", dest="steal", action="store_false",
-                       help="pin every fabric worker to its own shard "
-                            "range (no stealing)")
     parser.add_argument("--checkpoint", type=Path, default=None,
                         metavar="DIR",
                         help="journal every charged DSE evaluation into DIR "
@@ -257,9 +240,7 @@ def main(argv: "list[str] | None" = None) -> int:
     registry.reset()
     tracer = configure_tracing(args.trace, enabled=True)
     from repro.dse.batch import set_batch_defaults
-    defaults = set_batch_defaults(batch_size=args.batch_size,
-                                  workers=args.workers,
-                                  fabric=args.fabric, steal=args.steal)
+    defaults = set_batch_defaults(batch_size=args.batch_size)
     run_id, parent_run_ids = _configure_checkpoints(args, reporter)
     if run_id is None:
         return 2
@@ -268,10 +249,7 @@ def main(argv: "list[str] | None" = None) -> int:
         config={"out": str(args.out) if args.out else None,
                 "trace": str(args.trace) if args.trace else None,
                 "workload": args.workload, "n_ops": args.n_ops,
-                "workers": defaults.workers,
                 "batch_size": defaults.batch_size,
-                "fabric": defaults.fabric,
-                "steal": defaults.steal,
                 "sim_cache": str(sim_store.root) if sim_store else None,
                 "checkpoint": (str(args.checkpoint)
                                if args.checkpoint else None),
@@ -324,7 +302,7 @@ def _configure_checkpoints(args, reporter: Reporter):
                           read_journal_headers(args.checkpoint)
                           if h.get("run_id")})
     set_checkpoint_defaults(directory=args.checkpoint, resume=args.resume,
-                            run_id=run_id, sharded=bool(args.fabric))
+                            run_id=run_id)
     return run_id, parents
 
 

@@ -15,14 +15,14 @@
 - :mod:`repro.dse.ga` / :mod:`repro.dse.rsm` — the related-work
   genetic-algorithm and response-surface baselines.
 - :mod:`repro.dse.brute` — exhaustive sweep.
-- :mod:`repro.dse.batch` — the batched + parallel evaluation engine
-  every search method rides on (``evaluate_batch`` protocol, process
-  pool, ``--workers``/``--batch-size`` defaults); contract in
-  ``docs/DSE_PERFORMANCE.md``.
-- :mod:`repro.dse.fabric` — the sharded work-stealing sweep fabric
-  (``--fabric``): deterministic shard ownership over the simulation
-  store's hash ranges, idle-worker stealing for stragglers, and
-  bit-identical results under any steal schedule.
+- :mod:`repro.dse.batch` — batch slicing and the ``--batch-size``
+  default every search method rides on (``evaluate_batch`` protocol);
+  contract in ``docs/DSE_PERFORMANCE.md``.
+- :mod:`repro.dse.fabric` — the one process-pool evaluator: the
+  sharded work-stealing sweep fabric, with deterministic shard
+  ownership over the simulation store's hash ranges, idle-worker
+  stealing for stragglers, crash/timeout/deadline-aware recovery, and
+  bit-identical results under any schedule.
 """
 
 from repro.dse.space import DesignSpace, Parameter
@@ -38,12 +38,9 @@ from repro.dse.evaluate import (
 )
 from repro.dse.batch import (
     BatchDefaults,
-    ParallelEvaluator,
     chunked,
     get_batch_defaults,
-    make_pool_evaluator,
     resolve_batch_size,
-    resolve_workers,
     set_batch_defaults,
 )
 from repro.dse.fabric import FabricEvaluator, config_shard
@@ -61,18 +58,15 @@ __all__ = [
     "BudgetedEvaluator",
     "SimulatorEvaluator",
     "SurrogateEvaluator",
-    "ParallelEvaluator",
     "FabricEvaluator",
     "BatchDefaults",
     "batch_evaluate",
     "canonical_key",
     "chunked",
     "config_shard",
-    "make_pool_evaluator",
     "get_batch_defaults",
     "set_batch_defaults",
     "resolve_batch_size",
-    "resolve_workers",
     "is_feasible",
     "brute_force_search",
     "APSExplorer",

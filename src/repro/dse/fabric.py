@@ -1,11 +1,9 @@
-"""Sharded sweep fabric: ownership-partitioned scheduling + work-stealing.
+"""The sweep fabric: the one process-pool evaluator DSE sweeps ride on.
 
-:class:`~repro.dse.batch.ParallelEvaluator` carves a batch into
-fixed-size ordered chunks, so one slow chunk serializes the tail of a
+Fixed-size ordered chunks let one slow chunk serialize the tail of a
 sweep — the exact straggler pathology the paper's own
 concurrency-over-capacity lens (C-AMAT) warns about in memory systems.
-:class:`FabricEvaluator` replaces the fixed carving with *ownership plus
-stealing*:
+:class:`FabricEvaluator` schedules by *ownership plus stealing*:
 
 1. **Deterministic sharding** — every configuration hashes to one of
    the :data:`~repro.sim.cache_store.SHARD_COUNT` shards
@@ -25,7 +23,7 @@ stealing*:
    crash/recovery sequence (every evaluator is a pure function of the
    configuration).  ``tests/dse/test_fabric.py`` and
    ``scripts/fabric_equivalence_check.py`` prove workers=1 ≡ workers=N ≡
-   forced-steal ≡ kill-and-resume.
+   forced-steal ≡ crash-recovery ≡ kill-and-resume.
 
 Tiered-cache integration: each slot receives the inner evaluator with
 its store re-scoped (:meth:`~repro.sim.cache_store.SimCacheStore.scoped`)
@@ -35,11 +33,21 @@ computed for shards it does not own are persisted by the *parent* after
 reassembly (``dse.fabric.reconciled``) — the parent is owner of last
 resort, still a single writer per entry at a time.
 
-Fault tolerance mirrors the pool evaluator: a lost unit (worker crash,
-transient error) is re-queued at the front of its owner's backlog on a
-rebuilt pool up to ``retry_policy.max_attempts`` attempts, then degrades
-to exact serial in-parent evaluation — all through the existing
-``resilience.*`` counters.
+Fault tolerance: a lost unit (worker crash, per-unit timeout, transient
+error) is re-queued at the front of its owner's backlog on a rebuilt
+pool up to ``retry_policy.max_attempts`` attempts, then degrades to
+exact serial in-parent evaluation; :class:`~repro.errors.FatalError`
+propagates at once.  An optional :class:`~repro.resilience.policy.Deadline`
+clamps every recovery backoff and stops recovery at expiry with
+:class:`~repro.errors.DeadlineExceededError`.  Every step lands on the
+``resilience.*`` counters (``tests/resilience/test_parallel_recovery.py``).
+
+Budget accounting stays in the parent: a
+:class:`~repro.dse.evaluate.BudgetedEvaluator` wrapping the fabric
+deduplicates and charges configurations *before* dispatch, so workers
+only ever see configurations that are genuinely being paid for.
+(Worker-side ``sim.*`` registry metrics accumulate in the worker
+processes and are not merged back.)
 """
 
 from __future__ import annotations
@@ -50,19 +58,21 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
 from concurrent.futures import ProcessPoolExecutor, wait
+from multiprocessing.context import BaseContext
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.dse.evaluate import batch_evaluate, canonical_key, is_feasible
 from repro.errors import (
+    DeadlineExceededError,
     DesignSpaceError,
     FatalError,
     ReproError,
     TransientError,
 )
 from repro.obs import get_registry, get_tracer
-from repro.resilience.policy import RetryPolicy, retry_call
+from repro.resilience.policy import Deadline, RetryPolicy, retry_call
 from repro.sim.cache_store import (
     SHARD_COUNT,
     SHARD_PREFIX_LEN,
@@ -112,9 +122,14 @@ def _evaluate_unit(evaluator,
 
     Module-level so the pool can pickle it.  The trailing flush matters:
     slot evaluators carry a write-behind store whose buffer would die
-    with the task otherwise.  Returns ``(costs, t_start, exec_s)`` like
-    :func:`repro.dse.batch._evaluate_chunk` so the parent can decompose
-    latency into the same ``dse.chunk.*`` spans.
+    with the task otherwise.
+
+    Returns ``(costs, t_start, exec_s)``: ``t_start`` is the worker's
+    ``perf_counter`` reading when it picked the task up and ``exec_s``
+    the pure evaluation time.  On Linux ``perf_counter`` is
+    ``CLOCK_MONOTONIC`` — comparable across processes — which lets the
+    parent split submit-to-result latency into queue-wait, execute and
+    IPC components (clamped to zero where the clocks disagree).
     """
     t_start = time.perf_counter()
     costs = [float(evaluator.evaluate(c)) for c in configs]
@@ -134,13 +149,8 @@ class FabricEvaluator:
         The wrapped evaluator (pickled with each unit; must be picklable
         when ``workers > 1``).
     workers:
-        Worker-slot count; ``None`` resolves against
-        :func:`~repro.dse.batch.get_batch_defaults`.  With one worker
-        batches run inline (no pool, no shards — still bit-identical).
-    steal:
-        Enable work-stealing (default).  Disabled, each slot only ever
-        drains its own shard range — stragglers serialize again, which
-        is exactly the degraded leg the equivalence suite compares.
+        Worker-slot count.  With one worker batches run inline (no pool,
+        no shards — still bit-identical).
     unit_size:
         Configurations per pool task.  ``None`` picks
         ``ceil(len(batch) / (16 * workers))`` — small units keep steals
@@ -149,40 +159,69 @@ class FabricEvaluator:
     write_behind:
         Write-behind buffer size handed to each slot's scoped store
         (``0`` restores write-through in the workers).
-    retry_policy, sleep:
-        Lost-unit resubmission policy and injectable backoff hook, as on
-        :class:`~repro.dse.batch.ParallelEvaluator`.
+    retry_policy:
+        Governs unit resubmission after worker crashes, timeouts and
+        transient errors (default
+        :class:`~repro.resilience.policy.RetryPolicy`).
+    chunk_timeout:
+        Per-unit deadline in seconds; a unit that does not complete in
+        time is lost (``resilience.chunk_timeouts``), the pool is killed
+        and rebuilt — running tasks cannot be cancelled — and the unit
+        is requeued.  ``None`` waits forever.
+    sleep:
+        Backoff hook between recovery rounds — injectable so tests run
+        instantly while recording the deterministic schedule.
+    deadline:
+        Optional overall time budget (a job's, when the server runs
+        sweeps): recovery backoffs are clamped to it and recovery stops
+        at expiry with :class:`~repro.errors.DeadlineExceededError`
+        instead of sleeping past it.
+    mp_context:
+        ``multiprocessing`` context the pool is built from (``None`` =
+        the platform default).  A threaded parent such as the job
+        server passes ``get_context("forkserver")``: forking a process
+        that has other live threads can copy a held lock into the child.
+
+    The pool is created lazily on the first parallel batch and reused
+    until :meth:`close` (also a context manager).
     """
 
-    def __init__(self, inner, *, workers: "int | None" = None,
-                 steal: bool = True, unit_size: "int | None" = None,
+    def __init__(self, inner, *, workers: int = 1,
+                 unit_size: "int | None" = None,
                  write_behind: int = 64,
                  retry_policy: "RetryPolicy | None" = None,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
-        # Imported here: batch.py's factory imports this module lazily,
-        # and a top-level import either way would be circular-prone.
-        from repro.dse.batch import resolve_workers
-
-        self.inner = inner
-        self.workers = resolve_workers(workers)
+                 chunk_timeout: "float | None" = None,
+                 sleep: Callable[[float], None] = time.sleep,
+                 deadline: "Deadline | None" = None,
+                 mp_context: "BaseContext | None" = None) -> None:
+        if workers < 1:
+            raise DesignSpaceError(f"workers must be >= 1, got {workers}")
         if unit_size is not None and unit_size < 1:
             raise DesignSpaceError(
                 f"unit size must be >= 1, got {unit_size}")
         if write_behind < 0:
             raise DesignSpaceError(
                 f"write_behind must be >= 0, got {write_behind}")
-        self.steal = bool(steal)
+        if chunk_timeout is not None and chunk_timeout <= 0:
+            raise DesignSpaceError(
+                f"chunk timeout must be > 0 or None, got {chunk_timeout}")
+        self.inner = inner
+        self.workers = int(workers)
         self.unit_size = unit_size
         self.write_behind = int(write_behind)
         self.retry_policy = (retry_policy if retry_policy is not None
                              else RetryPolicy())
+        self.chunk_timeout = chunk_timeout
+        self.deadline = deadline
         self._sleep = sleep
+        self._mp_context = mp_context
         self._pool: "ProcessPoolExecutor | None" = None
         self._slot_evaluators: dict = {}
         registry = get_registry()
         self._ctr_steals = registry.counter("dse.fabric.steals")
         self._ctr_units = registry.counter("dse.fabric.units")
         self._ctr_reconciled = registry.counter("dse.fabric.reconciled")
+        self._ctr_timeouts = registry.counter("resilience.chunk_timeouts")
         self._ctr_crashes = registry.counter("resilience.worker_crashes")
         self._ctr_rebuilds = registry.counter("resilience.pool_rebuilds")
         self._ctr_serial = registry.counter("resilience.serial_fallbacks")
@@ -191,10 +230,13 @@ class FabricEvaluator:
     # ---- evaluator protocol ----------------------------------------------
 
     def evaluate(self, config: dict) -> float:
-        """Scalar pass-through (no pool round-trip for one point)."""
-        return retry_call(lambda: float(self.inner.evaluate(config)),
-                          policy=self.retry_policy, sleep=self._sleep,
-                          what="scalar evaluation")
+        """Scalar pass-through (no pool round-trip for one point).
+
+        Transient failures retry in-process under the evaluator's
+        policy; fatal ones propagate.
+        """
+        return self._retry(lambda: float(self.inner.evaluate(config)),
+                           "scalar evaluation")
 
     def is_feasible(self, config: dict) -> bool:
         """Delegates to the wrapped evaluator's design-rule check."""
@@ -206,11 +248,15 @@ class FabricEvaluator:
         if not configs:
             return np.empty(0, dtype=float)
         if self.workers == 1:
-            return retry_call(lambda: batch_evaluate(self.inner, configs),
-                              policy=self.retry_policy, sleep=self._sleep,
-                              what="inline fabric batch")
+            return self._retry(lambda: batch_evaluate(self.inner, configs),
+                               "inline fabric batch")
         shards = [config_shard(self.inner, c) for c in configs]
         return self._run_fabric(configs, shards)
+
+    def _retry(self, fn, what: str):
+        """In-parent call with transient-failure retries."""
+        return retry_call(fn, policy=self.retry_policy, sleep=self._sleep,
+                          deadline=self.deadline, what=what)
 
     # ---- scheduling core --------------------------------------------------
 
@@ -249,9 +295,18 @@ class FabricEvaluator:
             if not inflight:
                 break
             done, _pending = wait(list(inflight),
+                                  timeout=self._wait_timeout(inflight),
                                   return_when=FIRST_COMPLETED)
             lost: "list[list[int]]" = []
             need_rebuild = False
+            for fut in self._timed_out(inflight, done):
+                slot, indices, _t_submit = inflight.pop(fut)
+                free.add(slot)
+                self._ctr_timeouts.inc()
+                tracer.event("resilience.chunk_lost", chunk=slot,
+                             reason="timeout")
+                lost.append(indices)
+                need_rebuild = True
             for fut in done:
                 slot, indices, t_submit = inflight.pop(fut)
                 free.add(slot)
@@ -280,6 +335,14 @@ class FabricEvaluator:
                 self._teardown_pool(kill=True)
                 self._ctr_rebuilds.inc()
                 pool = self._ensure_pool()
+                # Units still in flight died with the old pool: requeue
+                # them too, charged an attempt collaterally (the bound
+                # still holds because the fallback is exact serial
+                # evaluation).
+                for slot, indices, _t_submit in inflight.values():
+                    free.add(slot)
+                    lost.append(indices)
+                inflight.clear()
             if lost:
                 round_no += 1
                 requeued = 0
@@ -300,23 +363,58 @@ class FabricEvaluator:
                     requeued += len(retry_idx)
                 if requeued:
                     self._ctr_retries.inc()
-                    with tracer.span("resilience.backoff", round=round_no,
-                                     chunks=requeued):
-                        self._sleep(policy.delay(round_no))
+                    self._backoff(round_no, requeued, tracer)
         if serial_queue:
             order = sorted(set(serial_queue))
             self._ctr_serial.inc()
             tracer.event("resilience.serial_fallback", chunk=-1,
                          attempts=policy.max_attempts)
-            costs = retry_call(
+            costs = self._retry(
                 lambda: batch_evaluate(self.inner,
                                        [configs[i] for i in order]),
-                policy=policy, sleep=self._sleep,
-                what="fabric serial fallback")
+                "fabric serial fallback")
             for i, cost in zip(order, costs):
                 out[i] = cost
         self._reconcile(configs, shards, executed, out)
         return out
+
+    def _wait_timeout(self, inflight: dict) -> "float | None":
+        """Seconds until the oldest in-flight unit's ``chunk_timeout``."""
+        if self.chunk_timeout is None:
+            return None
+        oldest = min(t_submit for _slot, _indices, t_submit
+                     in inflight.values())
+        return max(0.0, oldest + self.chunk_timeout - time.perf_counter())
+
+    def _timed_out(self, inflight: dict, done) -> list:
+        """In-flight units past ``chunk_timeout`` that have not landed."""
+        if self.chunk_timeout is None:
+            return []
+        now = time.perf_counter()
+        return [fut for fut, (_slot, _indices, t_submit) in inflight.items()
+                if fut not in done and not fut.done()
+                and now - t_submit >= self.chunk_timeout]
+
+    def _backoff(self, round_no: int, requeued: int, tracer) -> None:
+        """Sleep before recovery round ``round_no + 1``, within the
+        deadline: the delay is clamped to the time left, and an expired
+        deadline stops the workers and raises instead of sleeping."""
+        delay = self.retry_policy.delay(round_no)
+        if self.deadline is not None:
+            if self.deadline.expired:
+                self._teardown_pool(kill=True)
+                timeout_s = self.deadline.timeout_s
+                raise DeadlineExceededError(
+                    f"job deadline expired with {requeued} configuration(s) "
+                    "still recovering",
+                    timeout_s=timeout_s if timeout_s is not None
+                    else float("nan"))
+            remaining = self.deadline.remaining()
+            if remaining is not None:
+                delay = min(delay, remaining)
+        with tracer.span("resilience.backoff", round=round_no,
+                         chunks=requeued):
+            self._sleep(delay)
 
     def _next_unit(self, slot: int, backlogs: "list[deque[int]]",
                    unit: int, tracer) -> "list[int]":
@@ -327,7 +425,7 @@ class FabricEvaluator:
         input order while the thief works the far end.
         """
         own = backlogs[slot]
-        if not own and self.steal:
+        if not own:
             victim = -1
             largest = 0
             for v, backlog in enumerate(backlogs):
@@ -402,9 +500,15 @@ class FabricEvaluator:
     def _record_unit_timing(self, slot: int, size: int, t_submit: float,
                             t_done: "float | None", t_start: float,
                             exec_s: float) -> None:
-        """Same latency decomposition as the pool evaluator's chunks —
-        the profiler buckets (queue_wait / simulation / ipc) apply to
-        fabric units unchanged."""
+        """Attribute one completed unit's latency to three spans.
+
+        ``dse.chunk.queue_wait`` (submit to worker pick-up),
+        ``dse.chunk.execute`` (worker-side evaluation) and
+        ``dse.chunk.ipc`` (the remainder of submit-to-result: task and
+        result pickling plus result-queue transit), each tagged with the
+        executing slot as ``chunk``.  All three are parented under the
+        live ``dse.batch`` span; no-ops while tracing is disabled.
+        """
         tracer = get_tracer()
         if not tracer.enabled:
             return
@@ -423,10 +527,18 @@ class FabricEvaluator:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(max_workers=self.workers,
+                                             mp_context=self._mp_context)
         return self._pool
 
     def _teardown_pool(self, *, kill: bool = False) -> None:
+        """Shut the current pool down, hard-stopping workers if asked.
+
+        ``ProcessPoolExecutor`` cannot cancel a running task, so after a
+        timeout the only way to reclaim the worker is to terminate it;
+        ``shutdown`` then reaps processes and queue threads so nothing
+        leaks across rebuilds.
+        """
         pool, self._pool = self._pool, None
         if pool is None:
             return
@@ -438,10 +550,14 @@ class FabricEvaluator:
         try:
             pool.shutdown(wait=True, cancel_futures=True)
         except (OSError, RuntimeError):
+            # A pool whose workers died mid-shutdown can raise while
+            # reaping; the processes are gone either way.
             pass
 
     def close(self) -> None:
-        """Shut the pool down and flush the parent-side store buffer."""
+        """Shut the pool down and flush the inner evaluator's cache
+        buffer (idempotent, broken-pool safe) — a graceful stop must
+        not strand write-behind entries in memory."""
         self._teardown_pool()
         store = getattr(self.inner, "cache", None)
         flush = getattr(store, "flush", None)
@@ -458,4 +574,6 @@ class FabricEvaluator:
         try:
             self.close()
         except (ReproError, OSError, RuntimeError):
+            # Interpreter teardown: modules may be half-gone; anything
+            # else (e.g. KeyboardInterrupt) should surface.
             pass

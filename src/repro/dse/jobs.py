@@ -31,12 +31,12 @@ is what makes crash/restart resume testable by byte comparison.
 
 from __future__ import annotations
 
+import multiprocessing
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.params import ApplicationProfile, MachineParameters
-from repro.dse.batch import ParallelEvaluator
 from repro.dse.brute import brute_force_search
 from repro.dse.evaluate import (
     BudgetedEvaluator,
@@ -45,6 +45,7 @@ from repro.dse.evaluate import (
     batch_evaluate,
     is_feasible,
 )
+from repro.dse.fabric import FabricEvaluator
 from repro.dse.space import DesignSpace, Parameter
 from repro.errors import DeadlineExceededError, InvalidParameterError
 from repro.laws.gfunction import PowerLawG
@@ -203,7 +204,9 @@ class JobGuard:
     """Deadline + progress wrapper the job's batches flow through.
 
     Sits between :class:`~repro.dse.evaluate.BudgetedEvaluator` and the
-    real evaluator: before every batch it checks the job's
+    real evaluator (above the job's process pool, when it has one, so
+    the checks and the callback run in this process): before every
+    batch it checks the job's
     :class:`~repro.resilience.policy.Deadline` (raising
     :class:`~repro.errors.DeadlineExceededError` so retries and sweeps
     cannot outlive the job) and after every batch it reports progress
@@ -288,14 +291,18 @@ def run_job(spec: dict, *, checkpoint_path=None, resume: bool = False,
     evaluator = build_evaluator(spec.get("evaluator") or {},
                                 degraded=degraded)
     ev_type = (spec.get("evaluator") or {}).get("type", "surrogate")
-    guard = JobGuard(evaluator, deadline=deadline, on_progress=on_progress)
     pooled = None
-    inner = guard
     if workers > 1:
-        pooled = ParallelEvaluator(guard, workers=workers,
-                                   deadline=deadline)
-        inner = pooled
-    budget = BudgetedEvaluator(inner, method=str(spec.get("method", "brute")),
+        # The pool sits *under* the guard: only the picklable evaluator
+        # crosses the process boundary, while the deadline check and the
+        # progress callback stay in this process.  The server runs jobs
+        # on executor threads, so workers come from a forkserver rather
+        # than a fork of this threaded process.
+        pooled = evaluator = FabricEvaluator(
+            evaluator, workers=workers, deadline=deadline,
+            mp_context=multiprocessing.get_context("forkserver"))
+    guard = JobGuard(evaluator, deadline=deadline, on_progress=on_progress)
+    budget = BudgetedEvaluator(guard, method=str(spec.get("method", "brute")),
                                checkpoint=checkpoint_path, resume=resume)
     batch_size = spec.get("batch_size")
     try:

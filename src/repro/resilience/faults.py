@@ -21,7 +21,7 @@ Fault kinds (:class:`Fault.kind`):
 
 All classes are picklable (plain data + paths), so a
 :class:`FaultyEvaluator` rides into
-:class:`~repro.dse.batch.ParallelEvaluator` pool workers exactly like
+:class:`~repro.dse.fabric.FabricEvaluator` pool workers exactly like
 the real evaluators do.  :func:`corrupt_cache_entries` deterministically
 garbles persisted :class:`~repro.sim.cache_store.SimCacheStore` entries
 for the quarantine tests, and :class:`ExitAfter` simulates a SIGKILL

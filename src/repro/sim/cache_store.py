@@ -41,7 +41,7 @@ Guarantees:
   warm-cache run is bit-identical to a cold one;
 - **concurrency safety** — writes go to a temp file in the same
   directory followed by :func:`os.replace` (atomic on POSIX), so the
-  process-pool workers of :class:`repro.dse.batch.ParallelEvaluator` can
+  process-pool workers of :class:`repro.dse.fabric.FabricEvaluator` can
   share one store without locks (double writes of the same key are
   idempotent by construction);
 - **invalidation by versioning** — :data:`SIM_MODEL_VERSION` is folded

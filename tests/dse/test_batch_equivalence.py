@@ -19,7 +19,7 @@ from repro.dse import (
     ANNPredictorSearch,
     APSExplorer,
     BudgetedEvaluator,
-    ParallelEvaluator,
+    FabricEvaluator,
     SimulatorEvaluator,
     SurrogateEvaluator,
     batch_evaluate,
@@ -145,9 +145,9 @@ class TestParallelSimulatorPath:
                                             sim_configs):
         sequential = np.array([sim_evaluator.evaluate(c)
                                for c in sim_configs])
-        with ParallelEvaluator(sim_evaluator, workers=1) as one:
+        with FabricEvaluator(sim_evaluator, workers=1) as one:
             inline = one.evaluate_batch(sim_configs)
-        with ParallelEvaluator(sim_evaluator, workers=4) as four:
+        with FabricEvaluator(sim_evaluator, workers=4) as four:
             fanned = four.evaluate_batch(sim_configs)
         # Tolerance-free: the simulator is a pure function of
         # (config, seed), and reassembly preserves submission order.
@@ -158,7 +158,7 @@ class TestParallelSimulatorPath:
                                                        sim_configs):
         results = {}
         for workers in (1, 4):
-            with ParallelEvaluator(sim_evaluator, workers=workers) as pool:
+            with FabricEvaluator(sim_evaluator, workers=workers) as pool:
                 budget = BudgetedEvaluator(pool)
                 costs = budget.evaluate_batch(sim_configs + sim_configs[:3])
                 results[workers] = (costs, budget.evaluations,
@@ -170,7 +170,7 @@ class TestParallelSimulatorPath:
         assert cached1 == cached4 == 3
 
     def test_scalar_passthrough(self, sim_evaluator, sim_configs):
-        with ParallelEvaluator(sim_evaluator, workers=4) as pool:
+        with FabricEvaluator(sim_evaluator, workers=4) as pool:
             assert (pool.evaluate(sim_configs[0])
                     == sim_evaluator.evaluate(sim_configs[0]))
 
@@ -249,8 +249,8 @@ class TestSearchMethodsBatchOnOff:
         wl = parsec_like("blackscholes", n_ops=300)
         results = []
         for workers in (1, 4):
-            with ParallelEvaluator(SimulatorEvaluator(wl, seed=2),
-                                   workers=workers) as pool:
+            with FabricEvaluator(SimulatorEvaluator(wl, seed=2),
+                                 workers=workers) as pool:
                 results.append(brute_force_search(
                     space, BudgetedEvaluator(pool), batch_size=8))
         one, four = results

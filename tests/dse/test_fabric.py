@@ -5,8 +5,9 @@ The fabric's contract mirrors the batch engine's: for any worker count,
 steal schedule, unit size, or crash/recovery sequence, costs come back
 bit-identical to a sequential loop, and budget accounting on a wrapping
 :class:`~repro.dse.evaluate.BudgetedEvaluator` is exactly-once.  These
-tests pin every leg — workers=1 ≡ workers=4 ≡ forced-steal ≡ steal-off ≡
-crash-recovery ≡ ledger kill-and-resume — including ``dse.evaluations``.
+tests pin every leg — workers=1 ≡ workers=4 ≡ forced-steal ≡
+crash-recovery ≡ journaled kill-and-resume — including
+``dse.evaluations``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import pytest
 
 from repro.core.params import ApplicationProfile, MachineParameters
 from repro.dse import BudgetedEvaluator, SurrogateEvaluator, batch_evaluate
-from repro.dse.batch import make_pool_evaluator, set_batch_defaults
 from repro.dse.evaluate import SimulatorEvaluator, canonical_key
 from repro.dse.fabric import (
     FabricEvaluator,
@@ -32,8 +32,8 @@ from repro.resilience import (
     FaultPlan,
     FaultyEvaluator,
     RetryPolicy,
-    ShardedJournal,
     config_token,
+    load_journal,
 )
 from repro.sim.cache_store import SHARD_COUNT, SimCacheStore, shard_of_key
 
@@ -108,7 +108,6 @@ class TestFabricEquivalence:
             "inline": dict(workers=1),
             "fanned": dict(workers=4),
             "forced-steal": dict(workers=4, unit_size=1),
-            "steal-off": dict(workers=4, steal=False),
         }
         for name, kwargs in legs.items():
             fresh_registry.reset()
@@ -119,7 +118,7 @@ class TestFabricEquivalence:
                 "dse.fabric.steals", 0)
             if name == "forced-steal":
                 assert steals > 0
-            if name in ("steal-off", "inline"):
+            if name == "inline":
                 assert steals == 0
 
     def test_budget_accounting_identical_under_fabric(self, surrogate,
@@ -144,21 +143,6 @@ class TestFabricEquivalence:
                 surrogate.evaluate(sweep[0]))
             assert fabric.evaluate_batch([]).shape == (0,)
             assert fabric.is_feasible(sweep[0]) in (True, False)
-
-    def test_factory_routes_on_fabric_default(self, surrogate):
-        from repro.dse.batch import ParallelEvaluator
-        try:
-            set_batch_defaults(fabric=True, steal=False)
-            fabric = make_pool_evaluator(surrogate, workers=2)
-            assert isinstance(fabric, FabricEvaluator)
-            assert fabric.steal is False
-            fabric.close()
-            set_batch_defaults(fabric=False)
-            pool = make_pool_evaluator(surrogate, workers=2)
-            assert isinstance(pool, ParallelEvaluator)
-            pool.close()
-        finally:
-            set_batch_defaults(fabric=False, steal=True)
 
 
 class TestFabricRecovery:
@@ -267,19 +251,17 @@ class TestFabricTieredCache:
 
 
 class TestLedgerResume:
-    """Kill-and-resume through the per-shard ledger is exactly-once."""
+    """Kill-and-resume through a checkpoint journal is exactly-once."""
 
     def test_interrupted_sweep_resumes_bit_identically(
             self, tmp_path, surrogate, sweep, fresh_registry):
         distinct = len({canonical_key(c) for c in sweep})
         want = batch_evaluate(surrogate, sweep)
 
-        # Uninterrupted reference run, fabric + ledger.
-        ref_dir = tmp_path / "ref-ledger"
+        # Uninterrupted reference run, fabric + journal.
         with FabricEvaluator(surrogate, workers=2, unit_size=4) as fabric:
-            budget = BudgetedEvaluator(
-                fabric, checkpoint=ShardedJournal.create(
-                    ref_dir, method="aps", shard_count=4))
+            budget = BudgetedEvaluator(fabric, method="aps",
+                                       checkpoint=tmp_path / "ref.jsonl")
             ref_costs = budget.evaluate_batch(sweep)
             ref_evals = budget.evaluations
             budget.close()
@@ -287,22 +269,20 @@ class TestLedgerResume:
         assert ref_evals == distinct
 
         # Interrupted run: first half only, then the process "dies".
-        led_dir = tmp_path / "ledger"
+        ledger = tmp_path / "ledger.jsonl"
         half = sweep[:len(sweep) // 2]
         with FabricEvaluator(surrogate, workers=2, unit_size=4) as fabric:
-            budget = BudgetedEvaluator(
-                fabric, checkpoint=ShardedJournal.create(
-                    led_dir, method="aps", shard_count=4))
+            budget = BudgetedEvaluator(fabric, method="aps",
+                                       checkpoint=ledger)
             budget.evaluate_batch(half)
             budget.close()
+        assert load_journal(ledger)[1]  # the half actually journaled
 
-        # Resume: restore the ledger union, replay the whole sweep.
+        # Resume: restore the journal, replay the whole sweep.
         fresh_registry.reset()
-        ledger, restored = ShardedJournal.open_resume(led_dir, method="aps")
-        assert restored  # the interrupted half actually journaled
         with FabricEvaluator(surrogate, workers=2, unit_size=1) as fabric:
-            budget = BudgetedEvaluator(fabric, checkpoint=ledger)
-            budget.restore(restored)
+            budget = BudgetedEvaluator(fabric, method="aps",
+                                       checkpoint=ledger, resume=True)
             got = budget.evaluate_batch(sweep)
             # Budget counters end exactly where the uninterrupted run's
             # did — replayed charges count as the fresh charges they
@@ -313,8 +293,6 @@ class TestLedgerResume:
         counters = fresh_registry.snapshot()["counters"]
         assert counters["dse.evaluations"] == ref_evals
 
-        # The ledger holds each charged key exactly once.
-        _ledger, final = ShardedJournal.open_resume(led_dir, method="aps")
-        _ledger.close()
-        keys = [k for k, _ in final]
+        # The journal holds each charged key exactly once.
+        keys = [k for k, _ in load_journal(ledger)[1]]
         assert len(keys) == len(set(keys)) == distinct

@@ -104,6 +104,24 @@ class TestRunJob:
         assert seen == sorted(seen)
         assert seen[-1] > 0
 
+    def test_pooled_job_matches_inline_and_reports_progress(self):
+        from repro.service.wire import canonical_json
+
+        spec = dict(SWEEP)
+        spec["batch_size"] = 8
+        inline = run_job(spec, workers=1)
+        seen: list = []
+
+        def on_progress(evaluated: int) -> None:
+            # A closure, as the server passes: it must stay in the
+            # parent while only the evaluator crosses the pool.
+            seen.append(evaluated)
+
+        pooled = run_job(spec, workers=2, on_progress=on_progress)
+        assert canonical_json(pooled) == canonical_json(inline)
+        assert seen == sorted(seen)
+        assert seen[-1] == pooled["evaluations"]
+
 
 class TestJobGuard:
     class Flat:

@@ -1,19 +1,22 @@
-"""ParallelEvaluator under injected faults: recovery must be invisible.
+"""The pooled executor under injected faults: recovery must be invisible.
 
-The contract under test is the ISSUE's acceptance criterion: a sweep
-that loses workers, times out chunks, or sees transient failures must
-hand back results bit-identical to a fault-free run, with exactly-once
-budget charging on the wrapping ``BudgetedEvaluator``.
+:class:`~repro.dse.fabric.FabricEvaluator` is the one process-pool
+evaluator.  A sweep that loses workers, times out units, or sees
+transient failures must hand back results bit-identical to a fault-free
+run, with exactly-once budget charging on the wrapping
+``BudgetedEvaluator``; a job deadline must stop recovery instead of
+sleeping past it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.dse.batch import ParallelEvaluator
 from repro.dse.evaluate import BudgetedEvaluator, batch_evaluate
-from repro.errors import FatalError
+from repro.dse.fabric import FabricEvaluator
+from repro.errors import DeadlineExceededError, FatalError
 from repro.resilience import (
+    Deadline,
     Fault,
     FaultPlan,
     FaultyEvaluator,
@@ -26,13 +29,21 @@ NO_JITTER = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
 
 @pytest.fixture
 def sweep(configs):
-    """A deterministic 48-point sweep: several chunks per round."""
+    """A deterministic 48-point sweep: several units per slot."""
     return configs[:48]
 
 
 def _plan(tmp_path, *faults) -> FaultPlan:
     return FaultPlan(seed=5, state_dir=str(tmp_path / "fuse"),
                      faults=tuple(faults))
+
+
+def _fabric(inner, **kwargs) -> FabricEvaluator:
+    kwargs.setdefault("workers", 2)
+    kwargs.setdefault("unit_size", 8)
+    kwargs.setdefault("retry_policy", NO_JITTER)
+    kwargs.setdefault("sleep", lambda s: None)
+    return FabricEvaluator(inner, **kwargs)
 
 
 class TestWorkerCrashRecovery:
@@ -43,10 +54,7 @@ class TestWorkerCrashRecovery:
         plan = _plan(tmp_path, Fault(kind="crash",
                                      token=config_token(victim),
                                      worker_only=True))
-        parallel = ParallelEvaluator(FaultyEvaluator(surrogate, plan),
-                                     workers=2, chunk_size=8,
-                                     retry_policy=NO_JITTER,
-                                     sleep=lambda s: None)
+        parallel = _fabric(FaultyEvaluator(surrogate, plan))
         budget = BudgetedEvaluator(parallel)
         try:
             got = budget.evaluate_batch(sweep)
@@ -65,15 +73,13 @@ class TestWorkerCrashRecovery:
             self, tmp_path, surrogate, sweep, fresh_registry):
         want = batch_evaluate(surrogate, sweep)
         victim = sweep[9]
-        # times=None: the chunk can never survive a pool attempt.
+        # times=None: the unit can never survive a pool attempt.
         plan = _plan(tmp_path, Fault(kind="crash",
                                      token=config_token(victim),
                                      times=None, worker_only=True))
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-        parallel = ParallelEvaluator(FaultyEvaluator(surrogate, plan),
-                                     workers=2, chunk_size=8,
-                                     retry_policy=policy,
-                                     sleep=lambda s: None)
+        parallel = _fabric(FaultyEvaluator(surrogate, plan),
+                           retry_policy=policy)
         try:
             got = parallel.evaluate_batch(sweep)
         finally:
@@ -85,9 +91,7 @@ class TestWorkerCrashRecovery:
 
     def test_close_survives_a_broken_pool(self, tmp_path, surrogate,
                                           sweep):
-        parallel = ParallelEvaluator(surrogate, workers=2, chunk_size=8,
-                                     retry_policy=NO_JITTER,
-                                     sleep=lambda s: None)
+        parallel = _fabric(surrogate)
         parallel.evaluate_batch(sweep)   # spin the pool up
         pool = parallel._pool
         assert pool is not None
@@ -105,10 +109,8 @@ class TestTransientAndTimeout:
         plan = _plan(tmp_path, Fault(kind="transient",
                                      token=config_token(victim), times=2))
         sleeps: list[float] = []
-        parallel = ParallelEvaluator(FaultyEvaluator(surrogate, plan),
-                                     workers=2, chunk_size=8,
-                                     retry_policy=NO_JITTER,
-                                     sleep=sleeps.append)
+        parallel = _fabric(FaultyEvaluator(surrogate, plan),
+                           sleep=sleeps.append)
         try:
             got = parallel.evaluate_batch(sweep)
         finally:
@@ -127,11 +129,8 @@ class TestTransientAndTimeout:
         plan = _plan(tmp_path, Fault(kind="delay",
                                      token=config_token(victim),
                                      delay_s=30.0))
-        parallel = ParallelEvaluator(FaultyEvaluator(surrogate, plan),
-                                     workers=2, chunk_size=8,
-                                     chunk_timeout=1.0,
-                                     retry_policy=NO_JITTER,
-                                     sleep=lambda s: None)
+        parallel = _fabric(FaultyEvaluator(surrogate, plan),
+                           chunk_timeout=1.0)
         try:
             got = parallel.evaluate_batch(sweep)
         finally:
@@ -144,15 +143,58 @@ class TestTransientAndTimeout:
     def test_fatal_fault_propagates(self, tmp_path, surrogate, sweep):
         plan = _plan(tmp_path, Fault(kind="fatal",
                                      token=config_token(sweep[0])))
-        parallel = ParallelEvaluator(FaultyEvaluator(surrogate, plan),
-                                     workers=2, chunk_size=8,
-                                     retry_policy=NO_JITTER,
-                                     sleep=lambda s: None)
+        parallel = _fabric(FaultyEvaluator(surrogate, plan))
         try:
             with pytest.raises(FatalError):
                 parallel.evaluate_batch(sweep)
         finally:
             parallel.close()
+
+
+class TestDeadline:
+    """Recovery never outlives the job's time budget (injected clock)."""
+
+    def test_expired_deadline_raises_instead_of_sleeping(
+            self, tmp_path, surrogate, sweep):
+        now = [0.0]
+        deadline = Deadline(5.0, clock=lambda: now[0])
+        plan = _plan(tmp_path, Fault(kind="transient",
+                                     token=config_token(sweep[5])))
+        sleeps: list[float] = []
+        parallel = _fabric(FaultyEvaluator(surrogate, plan),
+                           sleep=sleeps.append, deadline=deadline)
+        now[0] = 6.0    # the budget runs out before recovery starts
+        try:
+            with pytest.raises(DeadlineExceededError):
+                parallel.evaluate_batch(sweep)
+        finally:
+            parallel.close()
+        assert sleeps == []
+
+    def test_backoff_clamped_to_remaining_budget(
+            self, tmp_path, surrogate, sweep):
+        want = batch_evaluate(surrogate, sweep)
+        now = [0.0]
+        deadline = Deadline(1.0, clock=lambda: now[0])
+        plan = _plan(tmp_path, Fault(kind="transient",
+                                     token=config_token(sweep[5])))
+        sleeps: list[float] = []
+
+        def sleep(seconds: float) -> None:
+            sleeps.append(seconds)
+            now[0] += seconds
+
+        policy = RetryPolicy(max_attempts=3, base_delay=0.5, jitter=0.0)
+        parallel = _fabric(FaultyEvaluator(surrogate, plan),
+                           retry_policy=policy, sleep=sleep,
+                           deadline=deadline)
+        now[0] = 0.75   # 0.25 s left, less than the 0.5 s backoff
+        try:
+            got = parallel.evaluate_batch(sweep)
+        finally:
+            parallel.close()
+        assert (got == want).all()
+        assert sleeps == [pytest.approx(0.25)]
 
 
 class TestSerialPaths:
@@ -162,9 +204,8 @@ class TestSerialPaths:
         plan = _plan(tmp_path, Fault(kind="transient",
                                      token=config_token(sweep[2])))
         sleeps: list[float] = []
-        parallel = ParallelEvaluator(FaultyEvaluator(surrogate, plan),
-                                     workers=1, retry_policy=NO_JITTER,
-                                     sleep=sleeps.append)
+        parallel = _fabric(FaultyEvaluator(surrogate, plan), workers=1,
+                           sleep=sleeps.append)
         got = parallel.evaluate_batch(sweep[:8])
         parallel.close()
         assert (got == want).all()
@@ -176,9 +217,7 @@ class TestSerialPaths:
         config = sweep[0]
         plan = _plan(tmp_path, Fault(kind="transient",
                                      token=config_token(config)))
-        parallel = ParallelEvaluator(FaultyEvaluator(surrogate, plan),
-                                     workers=1, retry_policy=NO_JITTER,
-                                     sleep=lambda s: None)
+        parallel = _fabric(FaultyEvaluator(surrogate, plan), workers=1)
         assert parallel.evaluate(config) == float(
             surrogate.evaluate(config))
         parallel.close()

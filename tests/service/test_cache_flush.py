@@ -1,5 +1,5 @@
 """Write-behind buffers survive graceful shutdown (satellite of the
-service PR): ``ParallelEvaluator.close()`` flushes its evaluator's
+service PR): ``FabricEvaluator.close()`` flushes its evaluator's
 store, the process-exit safety net flushes every live store, and the
 flush is observable as a ``sim.cache.flush`` span."""
 
@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 
-from repro.dse import ParallelEvaluator, SurrogateEvaluator
+from repro.dse import FabricEvaluator, SurrogateEvaluator
 from repro.obs import JsonlWriter, configure_tracing, disable_tracing, read_jsonl
 from repro.sim.cache_store import SimCacheStore, flush_all_stores
 
@@ -32,7 +32,7 @@ class TestCloseFlushes:
         store.put("deadbeef00000000", 1.25)
         assert store.stats()["pending_writes"] == 1
 
-        pooled = ParallelEvaluator(CachingEvaluator(store), workers=1)
+        pooled = FabricEvaluator(CachingEvaluator(store), workers=1)
         pooled.close()
         assert store.stats()["pending_writes"] == 0
         # The entry is on disk, not just in memory.
@@ -45,7 +45,7 @@ class TestCloseFlushes:
         try:
             store = SimCacheStore(tmp_path / "cache", write_behind=64)
             store.put("deadbeef00000001", 2.5)
-            pooled = ParallelEvaluator(CachingEvaluator(store), workers=1)
+            pooled = FabricEvaluator(CachingEvaluator(store), workers=1)
             pooled.close()
         finally:
             disable_tracing()
@@ -55,7 +55,7 @@ class TestCloseFlushes:
         assert spans[0]["attrs"]["entries"] == 1
 
     def test_close_without_cache_attr_is_fine(self):
-        pooled = ParallelEvaluator(
+        pooled = FabricEvaluator(
             object.__new__(SurrogateEvaluator), workers=1)
         pooled.close()  # no cache attribute anywhere: must not raise
 

@@ -6,10 +6,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
+from repro.dse.jobs import run_job
 from repro.errors import WorkerCrashError
 from repro.service import JobRequest, ServiceConfig, ServiceState, TenantQuota
 from repro.service.server import JobServer
+from repro.service.wire import canonical_json
 
 SPACE = {"params": [
     {"name": "a0", "values": [2, 4, 8]},
@@ -125,11 +128,37 @@ class TestRoutes:
 
         run_with_server(scenario, tmp_path)
 
-    def test_backpressure_is_429_with_retry_after(self, tmp_path):
+    def test_backpressure_is_429_with_retry_after(self, tmp_path,
+                                                  monkeypatch):
+        # Hold every job at the gate until all submissions are in: a
+        # surrogate sweep finishes in about a millisecond, so without
+        # the gate the running slots could drain between requests and
+        # the depth cap might never be reached.
+        from repro.dse.jobs import run_job as real_run_job
+
+        release = threading.Event()
+
+        def gated_run_job(spec, **kwargs):
+            assert release.wait(timeout=60.0), "gate never released"
+            return real_run_job(spec, **kwargs)
+
+        monkeypatch.setattr("repro.service.server.run_job", gated_run_job)
         config = ServiceConfig(max_depth=1)
 
         async def scenario(server):
             accepted, shed = [], []
+            try:
+                await submit_all(server, accepted, shed)
+            finally:
+                release.set()
+            assert shed, "queue never filled — depth gate untested"
+            assert "queue_full" in shed
+            # Every accepted job still completes.
+            for job_id in accepted:
+                doc = await wait_terminal(server.port, job_id)
+                assert doc["status"] == "done"
+
+        async def submit_all(server, accepted, shed):
             for _ in range(30):
                 status, headers, raw = await http(
                     server.port, "POST", "/v1/jobs", payload(priority=9))
@@ -139,11 +168,6 @@ class TestRoutes:
                     assert status == 429
                     assert float(headers["retry-after"]) > 0
                     shed.append(json.loads(raw)["reason"])
-            assert shed, "queue never filled — depth gate untested"
-            # Every accepted job still completes.
-            for job_id in accepted:
-                doc = await wait_terminal(server.port, job_id)
-                assert doc["status"] == "done"
 
         run_with_server(scenario, tmp_path, config=config)
 
@@ -178,6 +202,32 @@ class TestRoutes:
             assert doc["charged"] == 0
 
         run_with_server(scenario, tmp_path)
+
+    def test_pooled_job_workers_match_inline(self, tmp_path):
+        """``job_workers=2`` runs each job on a process pool; the result
+        is byte-identical to the inline run and progress still streams
+        into the job's trace."""
+        body = payload()
+        body["job"]["batch_size"] = 8
+        want = canonical_json(run_job(body["job"], workers=1))
+
+        async def scenario(server):
+            status, _, raw = await http(server.port, "POST", "/v1/jobs",
+                                        body)
+            assert status == 202
+            job_id = json.loads(raw)["job_id"]
+            doc = await wait_terminal(server.port, job_id)
+            assert doc["status"] == "done", doc
+            assert canonical_json(doc["result"]) == want
+            _, _, raw = await http(server.port, "GET",
+                                   f"/v1/jobs/{job_id}/trace")
+            progress = [json.loads(l) for l in raw.decode().splitlines()
+                        if '"service.job.progress"' in l]
+            assert progress
+            assert (progress[-1]["attrs"]["evaluated"]
+                    == doc["result"]["evaluations"])
+
+        run_with_server(scenario, tmp_path, job_workers=2)
 
 
 class TestDegradation:

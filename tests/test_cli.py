@@ -36,6 +36,16 @@ class TestCLI:
             assert main([key]) == 0
         assert capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [["--fabric"], ["--workers", "2"],
+                                       ["--steal"], ["--no-steal"]])
+    def test_pool_flags_are_gone(self, flags, capsys):
+        # Experiments evaluate inline; pool width belongs to the
+        # evaluator (and ``serve --job-workers``), not to this CLI.
+        with pytest.raises(SystemExit) as exc:
+            main(["fig12", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_registry_complete(self):
         # Every paper artifact has a CLI entry.
         for key in ("fig1", "table1", "fig7", "fig8", "fig9", "fig10",
